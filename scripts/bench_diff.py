@@ -10,7 +10,9 @@ key of the new results:
 
   stream  (BENCH_stream.json)  — gates the "scan" table's decimated coarse
       pass and full-rate correlation kernel, ISSUE 7's real-time budget.
-      End-to-end figures are decode-dominated and reported but not gated.
+      End-to-end figures are reported but not gated. The front end, not
+      decode, dominates them: in a gprof profile of E20,
+      FrameSynchronizer::synchronize took ~2/3 of StreamReceiver::scan.
 
   hotpath (BENCH_hotpath.json) — gates the E17 e2e samples/sec cases and the
       E21 "decode" table's batched decode-only samples/sec, plus the

@@ -149,20 +149,25 @@ bool Receiver::receive(std::span<const std::span<const cf32>> capture,
   }
   pkt.sync = *sync_res;
 
-  // CFO-corrected, packet-aligned copy.
+  // CFO-corrected, packet-aligned copy of the preamble through the first
+  // HT-LTF. The rest of the frame is aligned once HT-SIG gives its extent,
+  // continuing each antenna's oscillator phase, so the samples are those of
+  // one derotation from `start` and nothing past the frame is touched.
   const std::size_t start = sync_res->packet_start;
   const std::size_t avail = capture[0].size() - start;
   FrameLayout probe;  // nss=1 layout: offsets through HT-STF are nss-free
-  if (avail < probe.htltf_offset() + wifi::kHtLtfLen) {
+  const std::size_t head = probe.htltf_offset() + wifi::kHtLtfLen;
+  if (avail < head) {
     pkt.error = metrics::RxError::kTruncated;
     return false;
   }
 
+  std::array<double, 4> cfo_phase{};  // nrx <= 4 (constructor)
   ws.rx.resize(nrx_);
   for (std::size_t a = 0; a < nrx_; ++a) {
-    const auto tail = capture[a].subspan(start);
-    ws.rx[a].assign(tail.begin(), tail.end());
-    channel::apply_cfo(ws.rx[a], -sync_res->cfo_norm);
+    const auto part = capture[a].subspan(start, head);
+    ws.rx[a].assign(part.begin(), part.end());
+    cfo_phase[a] = channel::apply_cfo(ws.rx[a], -sync_res->cfo_norm);
   }
 
   const dsp::FftPlan& fft64 = ws.fft_cache.plan(ofdm::kFftSize);
@@ -250,6 +255,12 @@ bool Receiver::receive(std::span<const std::span<const cf32>> capture,
   if (avail < fl.total_samples()) {  // truncated capture
     pkt.error = metrics::RxError::kTruncated;
     return true;
+  }
+  for (std::size_t a = 0; a < nrx_; ++a) {
+    const auto rest = capture[a].subspan(start + head, fl.total_samples() - head);
+    ws.rx[a].insert(ws.rx[a].end(), rest.begin(), rest.end());
+    channel::apply_cfo(std::span<cf32>(ws.rx[a]).subspan(head), -sync_res->cfo_norm,
+                       cfo_phase[a]);
   }
 
   // ---- HT-LTF channel estimation. ----

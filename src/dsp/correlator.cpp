@@ -152,24 +152,29 @@ void fill_products(const cf32* x, std::size_t lag, std::size_t n_prod,
                   s.mag.data());
 }
 
-/// Shared sweep core over a contiguous sample array. `scale` maps output
-/// slots back to positions of the caller's original signal (1 for the
-/// full-rate sweep, the stride for decimated sweeps) — it only sizes the
-/// result vectors, the arithmetic is identical.
-void autocorr_core(const cf32* x, std::size_t len, std::size_t lag,
-                   std::size_t window, AutocorrResult& res) {
-  const std::size_t n_out = len - lag - window + 1;
-  res.corr.resize(n_out);
-  res.pow_lead.resize(n_out);
-  res.pow_lag.resize(n_out);
-  res.metric.resize(n_out);
+/// The one sliding-sum loop. Writes output positions [res.cursor.next,
+/// res.cursor.next + count) of the sweep of x into res[0, count) and
+/// advances the cursor. Products are computed only for the samples those
+/// positions read (plus the position whose terms leave the window first when
+/// resuming), so a sweep taken in chunks does O(chunk) work and keeps
+/// O(chunk) scratch. The sums evolve by sum += entering - leaving, the exact
+/// MovingSum ring-buffer recurrence, from position 0 whatever the chunking:
+/// the bits equal one whole-span sweep (same operands, same ops, same order).
+void sweep_core(const cf32* x, std::size_t lag, std::size_t window,
+                std::size_t count, AutocorrResult& res) {
+  res.corr.resize(count);
+  res.pow_lead.resize(count);
+  res.pow_lag.resize(count);
+  res.metric.resize(count);
+  if (count == 0) return;
 
-  // Element-wise conj products and magnitudes first (vectorizable), then
-  // the sequential sliding sums: sum += entering - leaving, the exact
-  // MovingSum ring-buffer recurrence, which yields the same bits as
-  // recomputing each term (same operands, same ops).
-  const std::size_t n_prod = n_out + window - 1;
-  fill_products(x, lag, n_prod, len, res.scratch);
+  // Resuming at position p first steps the sums from p-1 to p, so products
+  // start at p-1; a fresh sweep seeds the sums from position 0's window.
+  AutocorrResult::Cursor& cur = res.cursor;
+  const std::size_t p0 = cur.next;
+  const std::size_t base = (p0 == 0) ? 0 : p0 - 1;
+  const std::size_t n_prod = p0 + count - 1 + window - base;
+  fill_products(x + base, lag, n_prod, n_prod + lag, res.scratch);
   const double* pre = res.scratch.prod_re.data();
   const double* pim = res.scratch.prod_im.data();
   const double* mag = res.scratch.mag.data();
@@ -177,24 +182,47 @@ void autocorr_core(const cf32* x, std::size_t len, std::size_t lag,
   cf64 corr_sum{0.0, 0.0};
   double pow_lead = 0.0;
   double pow_lag = 0.0;
-  for (std::size_t k = 0; k < window; ++k) {
-    corr_sum += cf64{pre[k], pim[k]} - cf64{0.0, 0.0};
-    pow_lead += mag[k] - 0.0;
-    pow_lag += mag[k + lag] - 0.0;
-  }
-  for (std::size_t n = 0;; ++n) {
-    const cf64 c = corr_sum;
-    const double pp = pow_lead * pow_lag;
-    res.corr[n] = cf32(static_cast<float>(c.real()), static_cast<float>(c.imag()));
-    res.pow_lead[n] = static_cast<float>(pow_lead);
-    res.pow_lag[n] = static_cast<float>(pow_lag);
-    res.metric[n] = (pp > 0.0) ? static_cast<float>(mag_sqr(c) / pp) : 0.0F;
-    if (n + 1 >= n_out) break;
-    const std::size_t k = n + window;  // next sample entering the window
+  // Slide the window from position `n` to n + 1 (n relative to base).
+  const auto step = [&](std::size_t n) {
+    const std::size_t k = n + window;  // sample entering the window
     corr_sum += cf64{pre[k], pim[k]} - cf64{pre[n], pim[n]};
     pow_lead += mag[k] - mag[n];
     pow_lag += mag[k + lag] - mag[n + lag];
+  };
+  if (p0 == 0) {
+    for (std::size_t k = 0; k < window; ++k) {
+      corr_sum += cf64{pre[k], pim[k]} - cf64{0.0, 0.0};
+      pow_lead += mag[k] - 0.0;
+      pow_lag += mag[k + lag] - 0.0;
+    }
+  } else {
+    corr_sum = cur.corr_sum;
+    pow_lead = cur.pow_lead;
+    pow_lag = cur.pow_lag;
+    step(0);
   }
+  for (std::size_t i = 0;; ++i) {
+    const double pp = pow_lead * pow_lag;
+    res.corr[i] = cf32(static_cast<float>(corr_sum.real()),
+                       static_cast<float>(corr_sum.imag()));
+    res.pow_lead[i] = static_cast<float>(pow_lead);
+    res.pow_lag[i] = static_cast<float>(pow_lag);
+    res.metric[i] =
+        (pp > 0.0) ? static_cast<float>(mag_sqr(corr_sum) / pp) : 0.0F;
+    if (i + 1 == count) break;
+    step(p0 + i - base);
+  }
+  cur.next = p0 + count;
+  cur.corr_sum = corr_sum;
+  cur.pow_lead = pow_lead;
+  cur.pow_lag = pow_lag;
+}
+
+/// Whole sweep of a contiguous sample array from position 0.
+void autocorr_core(const cf32* x, std::size_t len, std::size_t lag,
+                   std::size_t window, AutocorrResult& res) {
+  res.cursor = {};
+  sweep_core(x, lag, window, len - lag - window + 1, res);
 }
 
 void clear_result(AutocorrResult& res) {
@@ -202,6 +230,7 @@ void clear_result(AutocorrResult& res) {
   res.pow_lead.clear();
   res.pow_lag.clear();
   res.metric.clear();
+  res.cursor = {};
 }
 
 }  // namespace
@@ -264,6 +293,19 @@ void lag_autocorrelate_strided_into(std::span<const cf32> x, std::size_t lag,
     return;
   }
   autocorr_core(y.data(), n_y, lag_d, win_d, res);
+}
+
+void lag_autocorrelate_into(std::span<const cf32> x, std::size_t lag,
+                            std::size_t window, std::size_t count,
+                            AutocorrResult& res) {
+  if (lag == 0 || window == 0) {
+    throw std::invalid_argument("lag_autocorrelate: lag and window must be > 0");
+  }
+  const std::size_t n_out = (x.size() < lag + window) ? 0 : x.size() - lag - window + 1;
+  if (res.cursor.next > n_out || count > n_out - res.cursor.next) {
+    throw std::invalid_argument("lag_autocorrelate: range past the end of the sweep");
+  }
+  sweep_core(x.data(), lag, window, count, res);
 }
 
 AutocorrResult lag_autocorrelate(std::span<const cf32> x, std::size_t lag,

@@ -66,6 +66,16 @@ struct AutocorrResult {
     std::vector<double> mag;      ///< |x_k|^2 widened to double
     std::vector<cf32> packed;     ///< decimated samples (strided sweeps)
   } scratch;
+
+  /// Where a resumable sweep stands: the next output position and the three
+  /// sliding sums at the position before it. A default cursor starts a sweep
+  /// at position 0; every whole-span sweep leaves it past its last position.
+  struct Cursor {
+    std::size_t next = 0;
+    cf64 corr_sum{0.0, 0.0};
+    double pow_lead = 0.0;
+    double pow_lag = 0.0;
+  } cursor;
 };
 
 /// Lag-`lag` autocorrelation of x over a sliding window of `window` samples.
@@ -81,6 +91,17 @@ struct AutocorrResult {
 /// in the same order.
 void lag_autocorrelate_into(std::span<const cf32> x, std::size_t lag,
                             std::size_t window, AutocorrResult& out);
+
+/// Resumable form of the same sweep: computes the `count` output positions
+/// starting at out.cursor.next into out's vectors [0, count) and advances the
+/// cursor, carrying the sliding sums. Taking a sweep of x in any split of
+/// ranges gives the bits of one whole-span lag_autocorrelate_into; only the
+/// samples the range reads are touched, so scratch stays O(count). Reset
+/// out.cursor to {} to start at position 0. Throws std::invalid_argument if
+/// the range runs past the sweep's last position.
+void lag_autocorrelate_into(std::span<const cf32> x, std::size_t lag,
+                            std::size_t window, std::size_t count,
+                            AutocorrResult& out);
 
 /// Decimated sweep: output positions n = 0, stride, 2*stride, ... of x, each
 /// correlating only every stride-th sample inside the window — out index i

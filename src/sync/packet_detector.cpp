@@ -10,10 +10,8 @@ namespace mimonet::sync {
 
 namespace {
 
-// Full-rate positions processed per chunk in the candidate-region sweep,
-// and decimated positions per chunk in the streaming coarse pass. Chunking
+// Decimated positions per chunk in the streaming coarse pass. Chunking
 // bounds the per-call scratch to O(chunk) regardless of span length.
-constexpr std::size_t kFullChunk = 1024;
 constexpr std::size_t kCoarseChunk = 512;
 
 /// Antenna-combined sliding statistic at one position: coherent correlation
@@ -170,17 +168,26 @@ std::optional<Detection> PacketDetector::detect_mimo(
   if (len < cfg_.lag + cfg_.window) return std::nullopt;
 
   // Per-antenna sliding sums, combined coherently (correlations add in
-  // phase because all antennas see the same CFO-induced rotation).
+  // phase because all antennas see the same CFO-induced rotation). One
+  // resumable sweep per antenna, advanced a chunk at a time and abandoned
+  // at the first plateau: the work is bounded by where the first packet
+  // is, not by the length of the span behind it.
   scratch.resize(rx_antennas.size());
   auto& per_ant = scratch;
-  for (std::size_t a = 0; a < rx_antennas.size(); ++a) {
-    dsp::lag_autocorrelate_into(rx_antennas[a], cfg_.lag, cfg_.window, per_ant[a]);
-  }
-  const std::size_t n_pos = per_ant[0].metric.size();
+  for (auto& ant : per_ant) ant.cursor = {};
+  const std::size_t n_pos = len - cfg_.lag - cfg_.window + 1;
 
   PlateauScanner scanner(cfg_.threshold, cfg_.min_plateau, cfg_.lag);
-  for (std::size_t i = 0; i < n_pos; ++i) {
-    if (auto det = scanner.push(i, combine(per_ant, i))) return det;
+  for (std::size_t pos = 0; pos < n_pos;) {
+    const std::size_t n_chunk = std::min(kFullChunk, n_pos - pos);
+    for (std::size_t a = 0; a < rx_antennas.size(); ++a) {
+      dsp::lag_autocorrelate_into(rx_antennas[a], cfg_.lag, cfg_.window, n_chunk,
+                                  per_ant[a]);
+    }
+    for (std::size_t i = 0; i < n_chunk; ++i) {
+      if (auto det = scanner.push(pos + i, combine(per_ant, i))) return det;
+    }
+    pos += n_chunk;
   }
   return scanner.flush();
 }

@@ -79,6 +79,11 @@ struct Detection {
 /// Sliding autocorrelation detector over one or more antennas.
 class PacketDetector {
  public:
+  /// Full-rate positions swept per chunk, by the exhaustive scan and by the
+  /// two-pass scan's candidate regions. Bounds the per-antenna scratch to
+  /// one chunk whatever the span length.
+  static constexpr std::size_t kFullChunk = 1024;
+
   explicit PacketDetector(DetectorConfig cfg, ScanMode scan = {});
 
   [[nodiscard]] const DetectorConfig& config() const noexcept { return cfg_; }
@@ -103,7 +108,9 @@ class PacketDetector {
       DetectScratch& scratch) const;
 
   /// Exhaustive full-rate scan regardless of ScanMode — the reference the
-  /// two-pass mode is equivalence-tested against.
+  /// two-pass mode is equivalence-tested against. Sweeps kFullChunk
+  /// positions at a time and stops at the first plateau, so its cost and
+  /// scratch do not grow with the span past the packet.
   [[nodiscard]] std::optional<Detection> detect_mimo(
       std::span<const std::span<const cf32>> rx_antennas,
       std::vector<dsp::AutocorrResult>& scratch) const;
