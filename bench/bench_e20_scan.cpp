@@ -10,6 +10,8 @@
 //              exhaustive-scan baseline the coarse pass gates;
 //   e2e      — StreamReceiver::scan end to end (detect + sync + decode),
 //              exhaustive vs two-pass.
+// Each figure is the best of five timing windows of at least 0.2 s, the
+// windows of a case's five figures taken round-robin.
 // The two-pass end-to-end scan must deliver records identical to the
 // exhaustive scan on every case — this bench re-checks that on its own
 // captures, so the throughput figures can never drift away from the
@@ -18,9 +20,12 @@
 // The acceptance bar (ISSUE 7): coarse >= 20 Msamp/s for the 2x2 clean
 // capture. The process exits nonzero if the bar or the record-equivalence
 // check fails. MIMONET_BENCH_PACKETS shrinks the captures for smoke runs.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -92,23 +97,32 @@ Stream make_stream(unsigned mcs, std::size_t n_packets, bool faulted) {
   return s;
 }
 
-/// Time `fn` repeatedly until at least ~0.2 s has elapsed (after one warm
-/// call); returns wall seconds per call.
-template <typename Fn>
-double time_per_call(Fn&& fn) {
-  fn();  // warm: scratch capacity, caches, dispatch
-  std::size_t calls = 1;
-  for (;;) {
+/// Wall seconds per call of each closure: the best of five timing windows
+/// of at least 0.2 s each, after one warm call and an uncounted ramp of the
+/// call count. The windows go round-robin over the closures, so a slow
+/// stretch of a busy host lands on windows of several figures instead of on
+/// all five of one; single windows of the same binary spread by a third.
+std::vector<double> time_per_call(const std::vector<std::function<void()>>& fns) {
+  constexpr int kWindows = 5;
+  constexpr double kMinWindowS = 0.2;
+  std::vector<std::size_t> calls(fns.size(), 1);
+  const auto window = [&](std::size_t k) {
     const auto t0 = std::chrono::steady_clock::now();
-    for (std::size_t i = 0; i < calls; ++i) fn();
-    const double secs =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-    if (secs >= 0.2 || calls >= 1U << 14) {
-      return secs / static_cast<double>(calls);
-    }
-    calls *= 4;
+    for (std::size_t i = 0; i < calls[k]; ++i) fns[k]();
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+        .count();
+  };
+  for (std::size_t k = 0; k < fns.size(); ++k) {
+    fns[k]();  // warm: scratch capacity, caches, dispatch
+    while (window(k) < kMinWindowS && calls[k] < 1U << 14) calls[k] *= 4;
   }
+  std::vector<double> best(fns.size(), std::numeric_limits<double>::infinity());
+  for (int w = 0; w < kWindows; ++w) {
+    for (std::size_t k = 0; k < fns.size(); ++k) {
+      best[k] = std::min(best[k], window(k) / static_cast<double>(calls[k]));
+    }
+  }
+  return best;
 }
 
 struct ScanFigures {
@@ -139,59 +153,70 @@ ScanFigures run_case(const Stream& s) {
   const std::span<const std::span<const cf32>> sspan(spans.data(), nrx);
 
   // Coarse pass (the always-on stage of the two-pass scan).
-  {
-    sync::ScanMode scan;
-    scan.decimation = kDecimation;
-    const sync::PacketDetector det(sync::DetectorConfig{}, scan);
-    sync::DetectScratch scratch;
-    std::vector<sync::CoarseRegion> regions;
-    const double secs = time_per_call([&] {
-      regions.clear();
-      (void)det.scan_coarse(sspan, scratch, regions);
-    });
-    f.coarse_msps = static_cast<double>(len) / secs / mega;
-  }
+  sync::ScanMode scan;
+  scan.decimation = kDecimation;
+  const sync::PacketDetector det(sync::DetectorConfig{}, scan);
+  sync::DetectScratch scratch;
+  std::vector<sync::CoarseRegion> regions;
+  const auto coarse = [&] {
+    regions.clear();
+    (void)det.scan_coarse(sspan, scratch, regions);
+  };
 
   // Full-rate correlation kernel (exhaustive-scan baseline), AVX2-dispatch
   // and forced-scalar — the SIMD speedup is the difference.
-  {
-    std::vector<dsp::AutocorrResult> res(nrx);
-    const auto sweep = [&] {
-      for (std::size_t a = 0; a < nrx; ++a) {
-        dsp::lag_autocorrelate_into(spans[a], 16, 48, res[a]);
-      }
-    };
-    f.full_msps = static_cast<double>(len) / time_per_call(sweep) / mega;
+  std::vector<dsp::AutocorrResult> res(nrx);
+  const auto sweep = [&] {
+    for (std::size_t a = 0; a < nrx; ++a) {
+      dsp::lag_autocorrelate_into(spans[a], 16, 48, res[a]);
+    }
+  };
+  const auto sweep_scalar = [&] {
     dsp::detail::force_scalar_autocorr(true);
-    f.full_scalar_msps = static_cast<double>(len) / time_per_call(sweep) / mega;
+    sweep();
     dsp::detail::force_scalar_autocorr(false);
-  }
+  };
 
   // End to end: exhaustive vs two-pass StreamReceiver scans, with the
   // record-equivalence check folded in.
   std::vector<RecordSig> ref_recs;
   std::vector<RecordSig> tp_recs;
-  for (const bool twopass : {false, true}) {
-    auto scfg = core::StreamReceiverConfig::make();
-    if (twopass) scfg.scan_decimation(kDecimation);
-    const core::StreamReceiver srx(s.phy, nrx, scfg.build());
-    core::RxWorkspace ws;
-    auto& recs = twopass ? tp_recs : ref_recs;
-    core::StreamStats warm_stats;
-    const double secs = time_per_call([&] {
-      recs.clear();
-      srx.scan(sspan, ws, warm_stats, [&recs](const core::StreamEvent& ev) {
-        RecordSig r;
-        r.offset = ev.offset;
-        r.error = ev.error;
-        r.fcs_ok = ev.packet != nullptr && ev.packet->fcs_ok;
-        if (ev.packet != nullptr) r.psdu = ev.packet->psdu;
-        recs.push_back(std::move(r));
-      });
+  const core::StreamReceiver srx_exh(s.phy, nrx,
+                                     core::StreamReceiverConfig::make().build());
+  const core::StreamReceiver srx_2pass(
+      s.phy, nrx,
+      core::StreamReceiverConfig::make().scan_decimation(kDecimation).build());
+  core::RxWorkspace ws_exh;
+  core::RxWorkspace ws_2pass;
+  core::StreamStats warm_stats;
+  const auto e2e = [&](const core::StreamReceiver& srx, core::RxWorkspace& ws,
+                       std::vector<RecordSig>& recs) {
+    recs.clear();
+    srx.scan(sspan, ws, warm_stats, [&recs](const core::StreamEvent& ev) {
+      RecordSig r;
+      r.offset = ev.offset;
+      r.error = ev.error;
+      r.fcs_ok = ev.packet != nullptr && ev.packet->fcs_ok;
+      if (ev.packet != nullptr) r.psdu = ev.packet->psdu;
+      recs.push_back(std::move(r));
     });
-    const double msps = static_cast<double>(len) / secs / mega;
-    (twopass ? f.e2e_twopass_msps : f.e2e_exhaustive_msps) = msps;
-  }
+  };
+
+  const auto secs = time_per_call({
+      coarse,
+      sweep,
+      sweep_scalar,
+      [&] { e2e(srx_exh, ws_exh, ref_recs); },
+      [&] { e2e(srx_2pass, ws_2pass, tp_recs); },
+  });
+  const auto msps = [&](double s_per_call) {
+    return static_cast<double>(len) / s_per_call / mega;
+  };
+  f.coarse_msps = msps(secs[0]);
+  f.full_msps = msps(secs[1]);
+  f.full_scalar_msps = msps(secs[2]);
+  f.e2e_exhaustive_msps = msps(secs[3]);
+  f.e2e_twopass_msps = msps(secs[4]);
   f.records_identical = ref_recs == tp_recs;
   for (const auto& r : ref_recs) f.delivered += r.fcs_ok;
   return f;

@@ -10,6 +10,7 @@ key of the new results:
 
   stream  (BENCH_stream.json)  — gates the "scan" table's decimated coarse
       pass and full-rate correlation kernel, ISSUE 7's real-time budget.
+      Each E20 figure is the best of five timing windows of at least 0.2 s.
       End-to-end figures are reported but not gated. The front end, not
       decode, dominates them: in a gprof profile of E20,
       FrameSynchronizer::synchronize took ~2/3 of StreamReceiver::scan.

@@ -155,11 +155,7 @@ void EvmSnrEstimator::add(std::size_t bin, cf32 observed, cf32 reference) noexce
 }
 
 void EvmSnrEstimator::estimate_into(SnrEstimate& out) const {
-  out.snr_db = 0.0;
-  out.signal_power = 0.0;
-  out.noise_variance = 0.0;
-  out.per_bin_db.clear();
-  out.per_bin_valid.clear();
+  out.reset();
   if (total_.n == 0) return;  // defined zeros; count() tells callers why
   out.noise_variance = total_.err / static_cast<double>(total_.n);
   out.signal_power = total_.ref / static_cast<double>(total_.n);

@@ -42,6 +42,15 @@ struct SnrEstimate {
   [[nodiscard]] bool bin_valid(std::size_t b) const noexcept {
     return b < per_bin_valid.size() && per_bin_valid[b] != 0;
   }
+
+  /// Back to the empty estimate, keeping the per-bin storage.
+  void reset() noexcept {
+    snr_db = 0.0;
+    signal_power = 0.0;
+    noise_variance = 0.0;
+    per_bin_db.clear();
+    per_bin_valid.clear();
+  }
 };
 
 /// Wideband + per-subcarrier SNR from the two L-LTF periods.

@@ -1,8 +1,8 @@
 // Bounded single-producer queue feeding a merging (consumer) thread — the
-// backpressure primitive behind every deterministic worker pool in core/
-// (LinkSimulator, MuLinkSimulator, the receiver farm's merge path). Each
-// worker owns one queue; the consumer pops queues in global packet order,
-// which is what makes the pools' aggregates thread-count invariant.
+// backpressure primitive behind run_ordered (core/ordered_pool.hpp), the
+// simulators' deterministic pool. Each worker owns one queue; the consumer
+// pops queues in global packet order, which is what makes the pool's
+// aggregates thread-count invariant.
 #pragma once
 
 #include <condition_variable>

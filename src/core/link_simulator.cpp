@@ -1,16 +1,11 @@
 #include "core/link_simulator.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstdio>
-#include <exception>
-#include <memory>
-#include <mutex>
-#include <thread>
 
-#include "core/bounded_queue.hpp"
 #include "core/link_internal.hpp"
+#include "core/ordered_pool.hpp"
 #include "core/workspace.hpp"
 #include "dsp/rng.hpp"
 #include "wifi/bits.hpp"
@@ -224,95 +219,44 @@ LinkResult LinkSimulator::run(const RunOptions& opt, PacketObserver* observer) {
     return opt.target_per_events > 0 && res.per.failures() >= opt.target_per_events;
   };
 
-  std::size_t n_threads =
-      opt.n_threads != 0
-          ? opt.n_threads
-          : std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  n_threads = std::min(n_threads, bound);
+  const std::size_t n_threads = pool_threads(opt.n_threads, bound);
 
   const bool want_rx = observer != nullptr;
+  const auto fold = [&](const PacketWork& work) {
+    res.merge(work.partial);
+    if (observer != nullptr) observer->on_packet(work.outcome);
+    return reached_target();
+  };
 
   if (n_threads <= 1) {
     // Same per-packet path as the pool — merged in the same order — so a
     // single-threaded run is bit-identical to any multi-threaded one. The
-    // loop owns one workspace pair; after the first packet warms it, the
-    // transmit/receive chain runs allocation-free.
+    // loop runs on the simulator's own transceivers and one workspace pair;
+    // after the first packet warms it, the chain runs allocation-free.
     TxWorkspace tws;
     RxWorkspace rws;
     for (std::size_t p = 0; p < bound; ++p) {
-      auto work = simulate_packet(cfg_, tx_, chan_, rx_, p, tws, rws, want_rx);
-      res.merge(work.partial);
-      if (observer != nullptr) observer->on_packet(work.outcome);
-      if (reached_target()) break;
+      if (fold(simulate_packet(cfg_, tx_, chan_, rx_, p, tws, rws, want_rx))) break;
     }
     return res;
   }
 
-  // Worker pool: worker w owns its own Transmitter/MimoChannel/Receiver and
-  // simulates packets p ≡ w (mod n_threads) in increasing order, feeding a
-  // bounded queue. The calling thread merges packet 0, 1, 2, ... in global
-  // order and runs the observer, so aggregates and observer semantics are
-  // exactly the single-threaded ones.
-  constexpr std::size_t kQueueDepth = 4;
-  std::vector<std::unique_ptr<BoundedQueue<PacketWork>>> queues;
-  queues.reserve(n_threads);
-  for (std::size_t w = 0; w < n_threads; ++w) {
-    queues.push_back(std::make_unique<BoundedQueue<PacketWork>>(kQueueDepth));
-  }
-
-  std::atomic<bool> stop{false};
-  std::mutex err_mutex;
-  std::exception_ptr worker_error;
-
-  std::vector<std::thread> workers;
-  workers.reserve(n_threads);
-  for (std::size_t w = 0; w < n_threads; ++w) {
-    workers.emplace_back([&, w] {
-      try {
-        const Transmitter tx(cfg_.phy);
-        channel::MimoChannel chan(seeded_channel(cfg_));
-        const Receiver rx(cfg_.phy, cfg_.channel.nrx);
-        // Worker-owned arenas: no allocation or sharing across threads in
-        // the steady-state transmit/receive chain.
-        TxWorkspace tws;
-        RxWorkspace rws;
-        for (std::size_t p = w; p < bound; p += n_threads) {
-          if (stop.load(std::memory_order_relaxed)) break;
-          auto work = simulate_packet(cfg_, tx, chan, rx, p, tws, rws, want_rx);
-          if (!queues[w]->push(std::move(work))) break;
-        }
-      } catch (...) {
-        const std::lock_guard lk(err_mutex);
-        if (!worker_error) worker_error = std::current_exception();
-      }
-      queues[w]->close();
-    });
-  }
-
-  const auto shut_down = [&] {
-    stop.store(true, std::memory_order_relaxed);
-    for (auto& q : queues) q->stop();
-    for (auto& t : workers) t.join();
-  };
-
-  bool worker_died = false;
-  try {
-    for (std::size_t p = 0; p < bound; ++p) {
-      auto work = queues[p % n_threads]->pop();
-      if (!work) {  // producer exited without delivering: it threw
-        worker_died = true;
-        break;
-      }
-      res.merge(work->partial);
-      if (observer != nullptr) observer->on_packet(work->outcome);
-      if (reached_target()) break;
-    }
-  } catch (...) {
-    shut_down();
-    throw;  // observer exception
-  }
-  shut_down();
-  if (worker_died && worker_error) std::rethrow_exception(worker_error);
+  // Worker pool: each worker owns its own Transmitter/MimoChannel/Receiver
+  // and workspace arenas (no allocation or sharing across threads in the
+  // steady-state chain); the calling thread merges and runs the observer in
+  // packet order, so aggregates and observer semantics are exactly the
+  // single-threaded ones.
+  run_ordered<PacketWork>(
+      bound, n_threads,
+      [&] {
+        return [&, tx = Transmitter(cfg_.phy),
+                chan = channel::MimoChannel(seeded_channel(cfg_)),
+                rx = Receiver(cfg_.phy, cfg_.channel.nrx), tws = TxWorkspace(),
+                rws = RxWorkspace()](std::size_t p) mutable {
+          return simulate_packet(cfg_, tx, chan, rx, p, tws, rws, want_rx);
+        };
+      },
+      fold);
   return res;
 }
 

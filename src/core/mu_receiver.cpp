@@ -1,55 +1,23 @@
 #include "core/mu_receiver.hpp"
 
-#include <algorithm>
-#include <array>
-#include <cmath>
 #include <stdexcept>
 
 #include "chanest/ls_estimator.hpp"
 #include "chanest/phase_tracker.hpp"
-#include "chanest/snr_estimator.hpp"
 #include "channel/impairments.hpp"
-#include "dsp/fft.hpp"
+#include "core/symbol_plane.hpp"
 #include "eq/equalizer.hpp"
-#include "fec/scrambler.hpp"
 #include "mod/constellation.hpp"
-#include "ofdm/pilots.hpp"
-#include "wifi/bits.hpp"
-#include "wifi/interleaver.hpp"
-#include "wifi/preamble.hpp"
 #include "wifi/psdu.hpp"
 
 namespace mimonet::core {
 
 namespace {
 
-/// Recover the TX scrambler seed from the 7 descrambler-sync bits (same
-/// trick as the single-link receiver — each user scrambles independently,
-/// so the recovery runs per stream).
-std::uint32_t recover_scrambler_seed(std::span<const std::uint8_t> first7) {
-  std::array<std::uint8_t, 7> seq{};
-  for (std::uint32_t seed = 1; seed < 128; ++seed) {
-    fec::scrambler_sequence_into(seed, seq);
-    bool match = true;
-    for (std::size_t i = 0; i < 7; ++i) {
-      if (seq[i] != (first7[i] & 1U)) {
-        match = false;
-        break;
-      }
-    }
-    if (match) return seed;
-  }
-  return fec::kDefaultScramblerSeed;
-}
-
 void reset_mu_packet(MuRxPacket& pkt, std::size_t n_users) {
   pkt.detected = false;
   pkt.sync = {};
-  pkt.snr.snr_db = 0.0;
-  pkt.snr.signal_power = 0.0;
-  pkt.snr.noise_variance = 0.0;
-  pkt.snr.per_bin_db.clear();
-  pkt.snr.per_bin_valid.clear();
+  pkt.snr.reset();
   pkt.users.resize(n_users);
   for (auto& u : pkt.users) {
     u.fcs_ok = false;
@@ -121,151 +89,65 @@ bool MuUplinkReceiver::receive(std::span<const std::span<const cf32>> capture,
     channel::apply_cfo(ws.rx[a], -sync_res->cfo_norm);
   }
 
-  const dsp::FftPlan& fft64 = ws.fft_cache.plan(ofdm::kFftSize);
-
   // ---- L-LTF noise estimate: the two repetitions of the superposition
   // differ only by noise, exactly as in the single-user case. ----
-  const std::size_t lltf_payload = fl.lltf_offset() + 32;
-  ws.spans.clear();
-  for (const auto& a : ws.rx) {
-    ws.spans.emplace_back(std::span<const cf32>(a).subspan(lltf_payload, 128));
-  }
-  chanest::snr_from_lltf_into(ws.spans, pkt.snr);
-  const auto nv_bin =
-      static_cast<float>(64.0 * std::max(pkt.snr.noise_variance, 1e-12));
+  const float nv_bin = detail::lltf_snr_into(ws, pkt.snr);
 
   // ---- Joint HT-LTF channel estimation: the stacked nrx x U problem. ----
-  const std::size_t n_ltf = fl.n_ht_ltfs();
-  ws.ltf_grids.resize(nrx_, n_ltf, ofdm::kFftSize);
-  for (std::size_t a = 0; a < nrx_; ++a) {
-    for (std::size_t n = 0; n < n_ltf; ++n) {
-      fft64.forward(std::span<const cf32>(ws.rx[a]).subspan(
-                        fl.htltf_offset() + n * wifi::kHtLtfLen + ofdm::kCpLen, 64),
-                    ws.ltf_grids.row(a, n));
-    }
-  }
-  const chanest::LsChannelEstimator ls(nrx_, n_users_);
   chanest::MimoChannelEstimate& est = ws.packet.channel;
-  ls.estimate_into(ws.ltf_grids, est);
+  detail::estimate_ht_channel(fl, nrx_, ws, est);
 
-  // ---- Per-bin equalizer (the "tall MIMO" inversion). ML joint detection
-  // over U users is out of scope; the ML configuration falls back to MMSE
-  // like the single-link receiver does above 2 streams. ----
-  eq::LinearEqualizer lin_eq(cfg_.equalizer == eq::EqualizerType::kMaxLikelihood
-                                 ? eq::EqualizerType::kMmse
-                                 : cfg_.equalizer);
-  const auto& data_bins = ht_demod_.map().data_bins();
-  const auto& pilot_bins = ht_demod_.map().pilot_bins();
-  ws.h_at.resize(ofdm::kFftSize);
-  ws.coeffs.resize(ofdm::kFftSize);
-  for (const std::size_t b : data_bins) {
-    est.at_bin_into(b, ws.h_at[b]);
-    lin_eq.prepare(ws.h_at[b], nv_bin, ws.coeffs[b]);
-  }
+  // ---- Per-bin equalizer (the "tall MIMO" inversion), then the data
+  // symbols through the symbol plane. ML joint detection over U users is
+  // out of scope; the ML configuration falls back to MMSE like the
+  // single-link receiver does above 2 streams. Pilot CPE tracking runs over
+  // the joint pilot pattern (stream u flies ht_data_pilots(U, u, n), which
+  // is what the tracker models for an est with nss == U). Each user's
+  // deinterleaved stream accumulates on its own: every user is its own
+  // codeword, no stream merge. ----
+  const eq::LinearEqualizer lin_eq(cfg_.equalizer == eq::EqualizerType::kMaxLikelihood
+                                       ? eq::EqualizerType::kMmse
+                                       : cfg_.equalizer);
+  const detail::PlaneInput plane{
+      .fl = fl,
+      .demod = ht_demod_,
+      .est = est,
+      .constellation = mod::constellation_for(mcs_.modulation),
+      .nrx = nrx_,
+      .nss = n_users_,
+      .nv_bin = nv_bin,
+      .phase_tracking = cfg_.phase_tracking,
+      .detector = detail::BinDetector::kLinear,
+      .lin_eq = &lin_eq,
+  };
+  detail::prepare_bins(plane, ws);
   for (std::size_t u = 0; u < n_users_; ++u) {
-    double acc = 0.0;
-    std::size_t cnt = 0;
-    for (const std::size_t b : data_bins) {
-      const float nv = ws.coeffs[b].noise_vars[u];
-      if (nv > 0.0F && nv < eq::kErasedNoiseVar) {
-        acc += 1.0 / static_cast<double>(nv);
-        ++cnt;
-      }
-    }
     pkt.users[u].sinr_db =
-        cnt > 0 ? 10.0 * std::log10(acc / static_cast<double>(cnt)) : 0.0;
+        detail::stream_sinr_db(ws.coeffs, ht_demod_.map().data_bins(), u);
   }
-
-  // ---- Data symbols: per-symbol FFT, pilot CPE tracking over the joint
-  // pilot pattern (stream u flies ht_data_pilots(U, u, n), which is what
-  // the tracker models for an est with nss == U), then per-bin equalize and
-  // per-stream demap. ----
-  const mod::Constellation& constellation = mod::constellation_for(mcs_.modulation);
-  const unsigned bps = constellation.bits_per_symbol();
   chanest::PilotPhaseTracker tracker(est);
-
-  ws.stream_llrs.resize(n_users_);
-  for (auto& v : ws.stream_llrs) {
-    v.clear();
-    v.reserve(fl.n_data_symbols * wifi::kHtDataCarriers * bps);
-  }
-  ws.data_grid.resize(nrx_, ofdm::kFftSize);
-  ws.y.resize(nrx_);
-  ws.llr_buf.resize(bps);
-  ws.rx_pilots.resize(nrx_);
-
-  std::array<cf32, eq::CMatrix::kMaxDim> eq_syms{};
-  std::array<float, eq::CMatrix::kMaxDim> eq_nvars{};
-  for (std::size_t n = 0; n < fl.n_data_symbols; ++n) {
-    const std::size_t off = fl.data_offset() + n * ofdm::kSymLen;
-    for (std::size_t a = 0; a < nrx_; ++a) {
-      fft64.forward(
-          std::span<const cf32>(ws.rx[a]).subspan(off + ofdm::kCpLen, 64),
-          ws.data_grid.row(a));
+  ws.pilot_evm.reset();
+  ws.deinterleaved.resize(n_users_);
+  for (auto& v : ws.deinterleaved) v.clear();
+  detail::run_symbol_plane(plane, tracker, ws, [&ws](std::size_t) {
+    for (std::size_t u = 0; u < ws.deinterleaved.size(); ++u) {
+      ws.deinterleaved[u].insert(ws.deinterleaved[u].end(),
+                                 ws.chunk_deint[u].begin(), ws.chunk_deint[u].end());
     }
-    cf32 derotate{1.0F, 0.0F};
-    if (cfg_.phase_tracking) {
-      for (std::size_t a = 0; a < nrx_; ++a) {
-        for (std::size_t p = 0; p < 4; ++p) {
-          ws.rx_pilots[a][p] = ws.data_grid(a, pilot_bins[p]);
-        }
-      }
-      const double raw = tracker.estimate_cpe(ws.rx_pilots, n);
-      const double theta = tracker.track(raw);
-      derotate = dsp::phasor(static_cast<float>(-theta));
-    }
+  });
 
-    for (const std::size_t bin : data_bins) {
-      for (std::size_t a = 0; a < nrx_; ++a) {
-        ws.y[a] = ws.data_grid(a, bin) * derotate;
-      }
-      eq::LinearEqualizer::apply(ws.coeffs[bin], ws.y,
-                                 std::span<cf32>(eq_syms).first(n_users_),
-                                 std::span<float>(eq_nvars).first(n_users_));
-      for (std::size_t u = 0; u < n_users_; ++u) {
-        constellation.demap_soft(eq_syms[u], eq_nvars[u],
-                                 std::span<float>(ws.llr_buf).first(bps));
-        for (unsigned b = 0; b < bps; ++b) {
-          ws.stream_llrs[u].push_back(ws.llr_buf[b]);
-        }
-      }
-    }
-  }
-
-  // ---- Per-user FEC: each stream is its own codeword — deinterleave with
-  // the stream's geometry, then depuncture / Viterbi / descramble / FCS
-  // independently. No stream merge: that is the single-link path's job. ----
+  // ---- Per-user FEC: depuncture / Viterbi / descramble / FCS on each
+  // user's stream independently. ----
   const std::size_t n_info_bits =
       fl.n_data_symbols * mcs_.data_bits_per_symbol();
-  const std::size_t psdu_bits = 8 * psdu_bytes;
   pkt.detected = true;
-
   for (std::size_t u = 0; u < n_users_; ++u) {
-    const wifi::Interleaver& il =
-        wifi::cached_interleaver(mcs_.bits_per_subcarrier(), u, n_users_);
-    ws.deinterleaved.resize(n_users_);
-    il.deinterleave_into(ws.stream_llrs[u], ws.deinterleaved[u]);
-
-    if (cfg_.fec_enabled) {
-      fec::depuncture_into(ws.deinterleaved[u], mcs_.rate, ws.depunctured);
-      ws.depunctured.resize(2 * n_info_bits, 0.0F);
-      viterbi_.decode_soft_into(ws.depunctured, /*terminated=*/false,
-                                ws.scrambled, ws.viterbi);
-    } else {
-      ws.scrambled.resize(ws.deinterleaved[u].size());
-      for (std::size_t i = 0; i < ws.deinterleaved[u].size(); ++i) {
-        ws.scrambled[i] = (ws.deinterleaved[u][i] < 0.0F) ? 1 : 0;
-      }
+    detail::decode_bcc_into(ws.deinterleaved[u], mcs_.rate, n_info_bits,
+                            cfg_.fec_enabled, viterbi_, ws);
+    MuUserPacket& up = pkt.users[u];
+    if (detail::unpack_psdu(ws.scrambled, psdu_bytes, up.psdu)) {
+      up.fcs_ok = wifi::psdu_fcs_ok(up.psdu);
     }
-    if (ws.scrambled.size() < kServiceBits + psdu_bits) continue;
-
-    const std::uint32_t seed =
-        recover_scrambler_seed(std::span(ws.scrambled).first(7));
-    fec::scramble_in_place(ws.scrambled, seed);
-    wifi::bits_to_bytes_into(
-        std::span<const std::uint8_t>(ws.scrambled).subspan(kServiceBits, psdu_bits),
-        pkt.users[u].psdu);
-    pkt.users[u].fcs_ok = wifi::psdu_fcs_ok(pkt.users[u].psdu);
   }
   return true;
 }

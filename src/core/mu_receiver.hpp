@@ -3,9 +3,9 @@
 // Transmitter::transmit_virtual_into); the BS stacks its antennas against
 // the user streams as one tall MIMO problem — synchronize on the superposed
 // legacy preamble, LS-estimate the nrx x U channel from the joint HT-LTFs,
-// linearly equalize per subcarrier, then run each user's stream through its
-// own deinterleave / depuncture / Viterbi / descramble / FCS chain (one
-// codeword per user, unlike the single-link receiver's stream merge).
+// linearly equalize per subcarrier on the receivers' shared symbol plane,
+// then decode each user's stream as its own codeword (deinterleave /
+// depuncture / Viterbi / descramble / FCS), with no stream merge.
 //
 // The uplink is trigger-based: the BS announced MCS and PSDU length, so no
 // SIG decoding happens — the superposed SIG symbols are flown for timing

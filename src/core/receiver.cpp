@@ -2,22 +2,18 @@
 
 #include <algorithm>
 #include <array>
-#include <cmath>
 #include <optional>
 #include <span>
 #include <stdexcept>
 
 #include "channel/impairments.hpp"
 #include "chanest/phase_tracker.hpp"
+#include "core/symbol_plane.hpp"
 #include "core/workspace.hpp"
 #include "dsp/fft.hpp"
-#include "eq/alamouti.hpp"
 #include "eq/equalizer.hpp"
 #include "fec/ldpc.hpp"
-#include "fec/scrambler.hpp"
 #include "mod/constellation.hpp"
-#include "ofdm/pilots.hpp"
-#include "wifi/bits.hpp"
 #include "wifi/interleaver.hpp"
 #include "wifi/mcs.hpp"
 #include "wifi/preamble.hpp"
@@ -39,32 +35,16 @@ std::vector<std::size_t> occupied_ht_bins() {
   return bins;
 }
 
-/// Recover the TX scrambler seed from the 7 descrambler-sync bits at the
-/// head of the SERVICE field (which the transmitter sends as zeros, so the
-/// received bits equal the scrambler sequence itself).
-std::uint32_t recover_scrambler_seed(std::span<const std::uint8_t> first7) {
-  std::array<std::uint8_t, 7> seq{};
-  for (std::uint32_t seed = 1; seed < 128; ++seed) {
-    fec::scrambler_sequence_into(seed, seq);
-    bool match = true;
-    for (std::size_t i = 0; i < 7; ++i) {
-      if (seq[i] != (first7[i] & 1U)) {
-        match = false;
-        break;
-      }
-    }
-    if (match) return seed;
-  }
-  return fec::kDefaultScramblerSeed;  // undecodable; any seed will fail FCS
-}
-
-/// Reset a reused SnrEstimate without releasing its per-bin storage.
-void reset_snr(chanest::SnrEstimate& s) {
-  s.snr_db = 0.0;
-  s.signal_power = 0.0;
-  s.noise_variance = 0.0;
-  s.per_bin_db.clear();
-  s.per_bin_valid.clear();
+/// The frame geometry a decoded HT-SIG announces.
+FrameLayout ht_frame_layout(const wifi::McsInfo& mcs, const wifi::HtSig& htsig,
+                            bool fec_enabled) {
+  const bool stbc = htsig.stbc != 0;
+  FrameLayout fl;
+  fl.nss = stbc ? 2 : mcs.nss;
+  fl.n_data_symbols = data_symbol_count(
+      mcs, htsig.length, fec_enabled, stbc,
+      htsig.fec_coding ? FecType::kLdpc : FecType::kBcc);
+  return fl;
 }
 
 /// Reset the reused packet result. Nested buffers keep their capacity; the
@@ -78,8 +58,8 @@ void reset_packet(RxPacket& pkt) {
   pkt.htsig = {};
   pkt.psdu.clear();
   pkt.sync = {};
-  reset_snr(pkt.snr);
-  reset_snr(pkt.pilot_snr);
+  pkt.snr.reset();
+  pkt.pilot_snr.reset();
   pkt.channel.nrx = 0;
   pkt.channel.nss = 0;
   pkt.residual_cfo_norm = 0.0;
@@ -184,13 +164,7 @@ bool Receiver::receive(std::span<const std::span<const cf32>> capture,
   }
   chanest::LsChannelEstimator::estimate_legacy_into(ws.lltf_grids, ws.h_legacy);
 
-  ws.spans.clear();
-  for (const auto& a : ws.rx) {
-    ws.spans.emplace_back(std::span<const cf32>(a).subspan(lltf_payload, 128));
-  }
-  chanest::snr_from_lltf_into(ws.spans, pkt.snr);
-  const auto nv_bin = static_cast<float>(
-      64.0 * std::max(pkt.snr.noise_variance, 1e-12));
+  const float nv_bin = detail::lltf_snr_into(ws, pkt.snr);
 
   // ---- L-SIG. ----
   ws.sig_grid.resize(nrx_, ofdm::kFftSize);
@@ -245,13 +219,10 @@ bool Receiver::receive(std::span<const std::span<const cf32>> capture,
     pkt.error = metrics::RxError::kUnsupportedMcs;
     return true;
   }
-  const std::size_t nsts = stbc ? 2 : mcs.nss;
   // The FEC family is announced in HT-SIG, so the receiver self-configures.
   const FecType fec_type = pkt.htsig.fec_coding ? FecType::kLdpc : FecType::kBcc;
-  FrameLayout fl;
-  fl.nss = nsts;
-  fl.n_data_symbols = data_symbol_count(mcs, pkt.htsig.length, cfg_.fec_enabled,
-                                        stbc, fec_type);
+  const FrameLayout fl = ht_frame_layout(mcs, pkt.htsig, cfg_.fec_enabled);
+  const std::size_t nsts = fl.nss;
   if (avail < fl.total_samples()) {  // truncated capture
     pkt.error = metrics::RxError::kTruncated;
     return true;
@@ -264,18 +235,8 @@ bool Receiver::receive(std::span<const std::span<const cf32>> capture,
   }
 
   // ---- HT-LTF channel estimation. ----
-  const std::size_t n_ltf = fl.n_ht_ltfs();
-  ws.ltf_grids.resize(nrx_, n_ltf, ofdm::kFftSize);
-  for (std::size_t a = 0; a < nrx_; ++a) {
-    for (std::size_t n = 0; n < n_ltf; ++n) {
-      fft64.forward(std::span<const cf32>(ws.rx[a]).subspan(
-                        fl.htltf_offset() + n * wifi::kHtLtfLen + ofdm::kCpLen, 64),
-                    ws.ltf_grids.row(a, n));
-    }
-  }
-  const chanest::LsChannelEstimator ls(nrx_, nsts);
   chanest::MimoChannelEstimate& est = pkt.channel;
-  ls.estimate_into(ws.ltf_grids, est);
+  detail::estimate_ht_channel(fl, nrx_, ws, est);
   if (cfg_.smoothing) {
     static const auto bins = occupied_ht_bins();
     ws.csd.resize(nsts);
@@ -289,7 +250,6 @@ bool Receiver::receive(std::span<const std::span<const cf32>> capture,
   const mod::Constellation& constellation = mod::constellation_for(mcs.modulation);
   const unsigned bps = constellation.bits_per_symbol();
   const auto& data_bins = ht_demod_.map().data_bins();
-  const auto& pilot_bins = ht_demod_.map().pilot_bins();
 
   chanest::PilotPhaseTracker tracker(est);
   ws.pilot_evm.reset();
@@ -306,112 +266,38 @@ bool Receiver::receive(std::span<const std::span<const cf32>> capture,
     }
   }
 
-  // Pre-fetch channel matrices for the data bins, and — for the linear
-  // equalizer — prepare the per-bin coefficients once. The channel is
-  // constant across symbols unless decision tracking rewrites it, in which
-  // case the bin is re-prepared right after the update (bit-identical to
-  // equalizing with the updated matrix each symbol).
-  ws.h_at.resize(ofdm::kFftSize);
-  for (const std::size_t b : data_bins) est.at_bin_into(b, ws.h_at[b]);
+  using detail::BinDetector;
+  const detail::PlaneInput plane{
+      .fl = fl,
+      .demod = ht_demod_,
+      .est = est,
+      .constellation = constellation,
+      .nrx = nrx_,
+      .nss = mcs.nss,
+      .nv_bin = nv_bin,
+      .phase_tracking = cfg_.phase_tracking,
+      .detector = stbc     ? BinDetector::kAlamouti
+                  : ml_det ? BinDetector::kMl
+                  : cfg_.decision_tracking ? BinDetector::kTracking
+                                           : BinDetector::kLinear,
+      .lin_eq = lin_eq ? &*lin_eq : nullptr,
+      .ml_det = ml_det ? &*ml_det : nullptr,
+      .tracking_mu = cfg_.decision_tracking_mu,
+  };
+
+  detail::prepare_bins(plane, ws);
   if (lin_eq) {
-    ws.coeffs.resize(ofdm::kFftSize);
-    for (const std::size_t b : data_bins) {
-      lin_eq->prepare(ws.h_at[b], nv_bin, ws.coeffs[b]);
-    }
     // Per-stream post-eq SINR from the prepared CSI, before any
     // decision-tracking updates: the link-adaptation observable.
     for (std::size_t s = 0; s < mcs.nss; ++s) {
-      double acc = 0.0;
-      std::size_t cnt = 0;
-      for (const std::size_t b : data_bins) {
-        const float nv = ws.coeffs[b].noise_vars[s];
-        if (nv > 0.0F && nv < eq::kErasedNoiseVar) {
-          acc += 1.0 / static_cast<double>(nv);
-          ++cnt;
-        }
-      }
-      pkt.stream_sinr_db[s] =
-          cnt > 0 ? 10.0 * std::log10(acc / static_cast<double>(cnt)) : 0.0;
+      pkt.stream_sinr_db[s] = detail::stream_sinr_db(ws.coeffs, data_bins, s);
     }
     pkt.n_stream_sinr = mcs.nss;
   }
 
-  // The batched symbol-plane pipeline replaces the per-symbol layer walk for
-  // the spatial-multiplexing payload; STBC keeps the pairwise path.
-  const bool batched = cfg_.batched_decode && !stbc;
-
-  if (!batched) {
-    ws.stream_llrs.resize(mcs.nss);
-    for (auto& v : ws.stream_llrs) {
-      v.clear();
-      v.reserve(fl.n_data_symbols * wifi::kHtDataCarriers * bps);
-    }
-    ws.data_grid.resize(nrx_, ofdm::kFftSize);
-    ws.y.resize(nrx_);
-  }
-  ws.llr_buf.resize(mcs.nss * bps);
-  ws.rx_pilots.resize(nrx_);
-
-  // Demodulate data symbol `n` into `out_grids`, run pilot CPE tracking and
-  // pilot-EVM accounting, and return the derotation phasor to apply.
-  const auto demod_data_symbol = [&](std::size_t n, dsp::SampleGrid& out_grids) {
-    const std::size_t off = fl.data_offset() + n * ofdm::kSymLen;
-    for (std::size_t a = 0; a < nrx_; ++a) {
-      fft64.forward(std::span<const cf32>(ws.rx[a]).subspan(off + ofdm::kCpLen, 64),
-                    out_grids.row(a));
-    }
-    cf32 derotate{1.0F, 0.0F};
-    for (std::size_t a = 0; a < nrx_; ++a) {
-      for (std::size_t p = 0; p < 4; ++p) {
-        ws.rx_pilots[a][p] = out_grids(a, pilot_bins[p]);
-      }
-    }
-    if (cfg_.phase_tracking) {
-      const double raw = tracker.estimate_cpe(ws.rx_pilots, n);
-      const double theta = tracker.track(raw);
-      derotate = dsp::phasor(static_cast<float>(-theta));
-    }
-    // Pilot EVM (after derotation) feeds the fine-grained SNR estimate.
-    for (std::size_t a = 0; a < nrx_; ++a) {
-      for (std::size_t p = 0; p < 4; ++p) {
-        dsp::cf64 expected{0.0, 0.0};
-        for (std::size_t s = 0; s < nsts; ++s) {
-          const auto pv = ofdm::ht_data_pilots(nsts, s, n);
-          expected += dsp::cf64(est.h[a][s][pilot_bins[p]]) * dsp::cf64(pv[p]);
-        }
-        ws.pilot_evm.add(pilot_bins[p], ws.rx_pilots[a][p] * derotate,
-                         cf32(static_cast<float>(expected.real()),
-                              static_cast<float>(expected.imag())));
-      }
-    }
-    return derotate;
-  };
-
-  // Decision-directed LMS channel update for one subcarrier: slice the
-  // equalized symbols, form the reconstruction error per antenna, and nudge
-  // H toward explaining the observation. Counters intra-packet fading.
-  const bool dd_tracking = cfg_.decision_tracking && !stbc && lin_eq.has_value();
-  ws.sliced.resize(mcs.nss);
-  const auto dd_update = [&](std::size_t bin, std::span<const cf32> y_obs,
-                             std::span<const cf32> eq_symbols) {
-    auto& h = ws.h_at[bin];
-    for (std::size_t s = 0; s < mcs.nss; ++s) {
-      ws.sliced[s] = dsp::cf64(
-          constellation.points()[constellation.hard_decision(eq_symbols[s])]);
-    }
-    const double mu = static_cast<double>(cfg_.decision_tracking_mu) /
-                      static_cast<double>(mcs.nss);
-    for (std::size_t a = 0; a < nrx_; ++a) {
-      dsp::cf64 pred{0.0, 0.0};
-      for (std::size_t s = 0; s < mcs.nss; ++s) pred += h(a, s) * ws.sliced[s];
-      const dsp::cf64 err = dsp::cf64(y_obs[a]) - pred;
-      for (std::size_t s = 0; s < mcs.nss; ++s) {
-        // Unit-energy constellations: |x|^2 ~ 1, so no normalizer needed.
-        h(a, s) += mu * err * std::conj(ws.sliced[s]);
-      }
-    }
-  };
-
+  // The symbol plane decodes every payload; batched_decode = false keeps
+  // the per-symbol reference loop for spatial multiplexing only.
+  const bool batched = cfg_.batched_decode || stbc;
   const wifi::StreamParser parser(mcs.bits_per_subcarrier(), mcs.nss);
   const std::size_t n_info_bits = fl.n_data_symbols * mcs.data_bits_per_symbol();
   // Batched BCC streams depunctured LLRs straight into the Viterbi ACS as
@@ -425,13 +311,7 @@ bool Receiver::receive(std::span<const std::span<const cf32>> capture,
   std::size_t llrs_fed = 0;
 
   if (batched) {
-    // ---- Batched symbol-plane decode: stage-wise passes over chunks of
-    // kDecodeBatchSymbols OFDM symbols. Per-(symbol, bin) operations are
-    // independent, so the symbol-major -> bin-major reorder inside a chunk
-    // is bit-exact; decision tracking's only cross-symbol dependency is
-    // per-bin, which the bin-major walk preserves in sequence. ----
-    const std::size_t n_bins = data_bins.size();
-    const std::size_t block = n_bins * bps;  // coded bits/symbol/stream
+    const std::size_t block = data_bins.size() * bps;  // coded bits/symbol/stream
     if (bcc_stream) {
       ws.depunct_stream.reset(mcs.rate);
       viterbi_.stream_begin(ws.viterbi_stream, ws.viterbi, n_info_bits);
@@ -439,141 +319,12 @@ bool Receiver::receive(std::span<const std::span<const cf32>> capture,
       ws.merged.clear();
       ws.merged.reserve(fl.n_data_symbols * block * mcs.nss);
     }
-    ws.eq_out.resize(mcs.nss);
-    ws.nv_out.resize(mcs.nss);
-    ws.chunk_llrs.resize(mcs.nss);
-    ws.chunk_deint.resize(mcs.nss);
-    ws.merge_views.resize(mcs.nss);
-    std::array<cf32, eq::CMatrix::kMaxDim> eq_syms{};
-    std::array<float, eq::CMatrix::kMaxDim> eq_nvars{};
-
-    for (std::size_t n0 = 0; n0 < fl.n_data_symbols; n0 += kDecodeBatchSymbols) {
-      const std::size_t chunk =
-          std::min<std::size_t>(kDecodeBatchSymbols, fl.n_data_symbols - n0);
-
-      // Stage 1: one batched FFT pass per antenna over the chunk.
-      ws.batch_grids.resize(nrx_, chunk, ofdm::kFftSize);
-      const std::size_t off = fl.data_offset() + n0 * ofdm::kSymLen;
-      for (std::size_t a = 0; a < nrx_; ++a) {
-        ht_demod_.demodulate_grids_into(
-            std::span<const cf32>(ws.rx[a]).subspan(off, chunk * ofdm::kSymLen),
-            chunk,
-            std::span<cf32>(ws.batch_grids.data() + a * chunk * ofdm::kFftSize,
-                            chunk * ofdm::kFftSize));
-      }
-
-      // Stage 2: pilot CPE tracking + EVM, sequential in symbol order (the
-      // tracker state and EVM accumulation see the per-symbol sequence).
-      ws.derotate.resize(chunk);
-      for (std::size_t j = 0; j < chunk; ++j) {
-        const std::size_t n = n0 + j;
-        for (std::size_t a = 0; a < nrx_; ++a) {
-          for (std::size_t p = 0; p < 4; ++p) {
-            ws.rx_pilots[a][p] = ws.batch_grids(a, j, pilot_bins[p]);
-          }
-        }
-        cf32 derotate{1.0F, 0.0F};
-        if (cfg_.phase_tracking) {
-          const double raw = tracker.estimate_cpe(ws.rx_pilots, n);
-          const double theta = tracker.track(raw);
-          derotate = dsp::phasor(static_cast<float>(-theta));
-        }
-        for (std::size_t a = 0; a < nrx_; ++a) {
-          for (std::size_t p = 0; p < 4; ++p) {
-            dsp::cf64 expected{0.0, 0.0};
-            for (std::size_t s = 0; s < nsts; ++s) {
-              const auto pv = ofdm::ht_data_pilots(nsts, s, n);
-              expected += dsp::cf64(est.h[a][s][pilot_bins[p]]) * dsp::cf64(pv[p]);
-            }
-            ws.pilot_evm.add(pilot_bins[p], ws.rx_pilots[a][p] * derotate,
-                             cf32(static_cast<float>(expected.real()),
-                                  static_cast<float>(expected.imag())));
-          }
-        }
-        ws.derotate[j] = derotate;
-      }
-
-      // Stage 3: equalize bin-major across the chunk, scattering the
-      // per-stream outputs symbol-major so the demap input is already in
-      // stream-LLR order.
-      for (std::size_t s = 0; s < mcs.nss; ++s) {
-        ws.eq_out[s].resize(chunk * n_bins);
-        ws.nv_out[s].resize(chunk * n_bins);
-        ws.chunk_llrs[s].resize(chunk * block);
-      }
-      ws.y_batch.resize(chunk * nrx_);
-      ws.eq_slab.resize(chunk * mcs.nss);
-      ws.nv_slab.resize(chunk * mcs.nss);
-      for (std::size_t i = 0; i < n_bins; ++i) {
-        const std::size_t bin = data_bins[i];
-        for (std::size_t j = 0; j < chunk; ++j) {
-          for (std::size_t a = 0; a < nrx_; ++a) {
-            ws.y_batch[j * nrx_ + a] = ws.batch_grids(a, j, bin) * ws.derotate[j];
-          }
-        }
-        if (ml_det) {
-          for (std::size_t j = 0; j < chunk; ++j) {
-            ml_det->demap(
-                ws.h_at[bin],
-                std::span<const cf32>(ws.y_batch).subspan(j * nrx_, nrx_), nv_bin,
-                ws.llr_buf);
-            for (std::size_t s = 0; s < mcs.nss; ++s) {
-              for (unsigned b = 0; b < bps; ++b) {
-                ws.chunk_llrs[s][(j * n_bins + i) * bps + b] =
-                    ws.llr_buf[s * bps + b];
-              }
-            }
-          }
-        } else if (dd_tracking) {
-          // Per-bin LMS updates force a sequential walk over the chunk's
-          // symbols for this bin — the exact update sequence the per-symbol
-          // path produces.
-          for (std::size_t j = 0; j < chunk; ++j) {
-            const auto y =
-                std::span<const cf32>(ws.y_batch).subspan(j * nrx_, nrx_);
-            eq::LinearEqualizer::apply(
-                ws.coeffs[bin], y, std::span<cf32>(eq_syms).first(mcs.nss),
-                std::span<float>(eq_nvars).first(mcs.nss));
-            for (std::size_t s = 0; s < mcs.nss; ++s) {
-              ws.eq_out[s][j * n_bins + i] = eq_syms[s];
-              ws.nv_out[s][j * n_bins + i] = eq_nvars[s];
-            }
-            dd_update(bin, y, std::span<const cf32>(eq_syms).first(mcs.nss));
-            lin_eq->prepare(ws.h_at[bin], nv_bin, ws.coeffs[bin]);
-          }
-        } else {
-          eq::LinearEqualizer::apply_run(ws.coeffs[bin], ws.y_batch, chunk,
-                                         ws.eq_slab, ws.nv_slab);
-          for (std::size_t j = 0; j < chunk; ++j) {
-            for (std::size_t s = 0; s < mcs.nss; ++s) {
-              ws.eq_out[s][j * n_bins + i] = ws.eq_slab[j * mcs.nss + s];
-              ws.nv_out[s][j * n_bins + i] = ws.nv_slab[j * mcs.nss + s];
-            }
-          }
-        }
-      }
-
-      // Stage 4: SIMD demap + deinterleave per stream, then merge. The
-      // interleaver block is one symbol per stream and the parser group
-      // divides the block, so chunk-wise passes concatenate to the
-      // whole-payload result exactly.
-      for (std::size_t s = 0; s < mcs.nss; ++s) {
-        if (!ml_det) {
-          constellation.demap_soft_run(ws.eq_out[s], ws.nv_out[s],
-                                       ws.chunk_llrs[s]);
-        }
-        const wifi::Interleaver& il =
-            wifi::cached_interleaver(mcs.bits_per_subcarrier(), s, mcs.nss);
-        ws.chunk_deint[s].resize(chunk * block);
-        il.deinterleave_into(ws.chunk_llrs[s], std::span<float>(ws.chunk_deint[s]));
-        ws.merge_views[s] = ws.chunk_deint[s];
-      }
+    detail::run_symbol_plane(plane, tracker, ws, [&](std::size_t chunk) {
       ws.chunk_merged.resize(chunk * block * mcs.nss);
       parser.merge_into(std::span<const std::span<const float>>(ws.merge_views),
                         std::span<float>(ws.chunk_merged));
-
-      // Stage 5: stream the chunk into the FEC consumer — Viterbi ACS runs
-      // while later chunks are still in flight.
+      // Stream the chunk into the FEC consumer — Viterbi ACS runs while
+      // later chunks are still in flight.
       if (bcc_stream) {
         ws.depunct_stream.consume(ws.chunk_merged, ws.chunk_depunct);
         const std::size_t take =
@@ -586,81 +337,50 @@ bool Receiver::receive(std::span<const std::span<const cf32>> capture,
         ws.merged.insert(ws.merged.end(), ws.chunk_merged.begin(),
                          ws.chunk_merged.end());
       }
-    }
-  } else if (!stbc) {
+    });
+  } else {
+    // Per-symbol reference loop (spatial multiplexing only): the oracle the
+    // batched-equivalence tests compare the plane against.
+    ws.stream_llrs.resize(mcs.nss);
+    for (auto& v : ws.stream_llrs) v.clear();
+    ws.batch_grids.resize(nrx_, 1, ofdm::kFftSize);  // one-symbol chunks
+    ws.y.resize(nrx_);
     std::array<cf32, eq::CMatrix::kMaxDim> eq_syms{};
     std::array<float, eq::CMatrix::kMaxDim> eq_nvars{};
+    const auto syms = std::span<cf32>(eq_syms).first(mcs.nss);
+    const auto nvars = std::span<float>(eq_nvars).first(mcs.nss);
     for (std::size_t n = 0; n < fl.n_data_symbols; ++n) {
-      const cf32 derotate = demod_data_symbol(n, ws.data_grid);
+      const std::size_t off = fl.data_offset() + n * ofdm::kSymLen;
+      for (std::size_t a = 0; a < nrx_; ++a) {
+        fft64.forward(std::span<const cf32>(ws.rx[a]).subspan(off + ofdm::kCpLen, 64),
+                      ws.batch_grids.row(a, 0));
+      }
+      const cf32 derotate = detail::track_pilots(plane, n, 0, tracker, ws);
       for (const std::size_t bin : data_bins) {
         for (std::size_t a = 0; a < nrx_; ++a) {
-          ws.y[a] = ws.data_grid(a, bin) * derotate;
+          ws.y[a] = ws.batch_grids(a, 0, bin) * derotate;
         }
 
         if (ml_det) {
           ml_det->demap(ws.h_at[bin], ws.y, nv_bin, ws.llr_buf);
           for (std::size_t s = 0; s < mcs.nss; ++s) {
-            for (unsigned b = 0; b < bps; ++b) {
-              ws.stream_llrs[s].push_back(ws.llr_buf[s * bps + b]);
-            }
+            const auto llrs = ws.llr_buf.begin() + static_cast<long>(s * bps);
+            ws.stream_llrs[s].insert(ws.stream_llrs[s].end(), llrs, llrs + bps);
           }
         } else {
-          eq::LinearEqualizer::apply(
-              ws.coeffs[bin], ws.y, std::span<cf32>(eq_syms).first(mcs.nss),
-              std::span<float>(eq_nvars).first(mcs.nss));
+          eq::LinearEqualizer::apply(ws.coeffs[bin], ws.y, syms, nvars);
           for (std::size_t s = 0; s < mcs.nss; ++s) {
-            constellation.demap_soft(eq_syms[s], eq_nvars[s],
+            constellation.demap_soft(syms[s], nvars[s],
                                      std::span<float>(ws.llr_buf).first(bps));
-            for (unsigned b = 0; b < bps; ++b) {
-              ws.stream_llrs[s].push_back(ws.llr_buf[b]);
-            }
+            ws.stream_llrs[s].insert(ws.stream_llrs[s].end(), ws.llr_buf.begin(),
+                                     ws.llr_buf.begin() + bps);
           }
-          if (dd_tracking) {
-            dd_update(bin, ws.y,
-                      std::span<const cf32>(eq_syms).first(mcs.nss));
-            lin_eq->prepare(ws.h_at[bin], nv_bin, ws.coeffs[bin]);
+          if (plane.detector == BinDetector::kTracking) {
+            detail::track_decisions(plane, bin, ws.y, syms, ws);
           }
         }
       }
     }
-  } else {
-    // Alamouti: decode pairwise. LLRs of the pair's first symbol must land
-    // before the second's to match the transmitter's bit order.
-    ws.data_grid2.resize(nrx_, ofdm::kFftSize);
-    ws.y2.resize(nrx_);
-    ws.llrs_first.resize(data_bins.size() * bps);
-    ws.llrs_second.resize(data_bins.size() * bps);
-    for (std::size_t n = 0; n + 1 < fl.n_data_symbols + 1; n += 2) {
-      const cf32 derot1 = demod_data_symbol(n, ws.data_grid);
-      const cf32 derot2 = demod_data_symbol(n + 1, ws.data_grid2);
-      for (std::size_t i = 0; i < data_bins.size(); ++i) {
-        const std::size_t bin = data_bins[i];
-        for (std::size_t a = 0; a < nrx_; ++a) {
-          ws.y[a] = ws.data_grid(a, bin) * derot1;
-          ws.y2[a] = ws.data_grid2(a, bin) * derot2;
-        }
-        const auto dec = eq::alamouti_combine(ws.h_at[bin], ws.y, ws.y2, nv_bin);
-        constellation.demap_soft(
-            dec.d1, dec.noise_var,
-            std::span<float>(ws.llrs_first).subspan(i * bps, bps));
-        constellation.demap_soft(
-            dec.d2, dec.noise_var,
-            std::span<float>(ws.llrs_second).subspan(i * bps, bps));
-      }
-      ws.stream_llrs[0].insert(ws.stream_llrs[0].end(), ws.llrs_first.begin(),
-                               ws.llrs_first.end());
-      ws.stream_llrs[0].insert(ws.stream_llrs[0].end(), ws.llrs_second.begin(),
-                               ws.llrs_second.end());
-    }
-  }
-
-  ws.pilot_evm.estimate_into(pkt.pilot_snr);
-  pkt.residual_cfo_norm = tracker.residual_cfo_norm();
-
-  // ---- Deinterleave per stream, merge, FEC-decode, descramble. The
-  // batched pipeline already deinterleaved, merged, and (for BCC) fed the
-  // streaming Viterbi chunk by chunk. ----
-  if (!batched) {
     ws.deinterleaved.resize(mcs.nss);
     for (std::size_t s = 0; s < mcs.nss; ++s) {
       const wifi::Interleaver& il =
@@ -669,6 +389,9 @@ bool Receiver::receive(std::span<const std::span<const cf32>> capture,
     }
     parser.merge_into(ws.deinterleaved, ws.merged);
   }
+
+  ws.pilot_evm.estimate_into(pkt.pilot_snr);
+  pkt.residual_cfo_norm = tracker.residual_cfo_norm();
 
   // ---- HARQ chase combining: sum the retained prior attempts' LLRs into
   // this attempt's merged stream before any FEC decoding, and export the
@@ -702,46 +425,27 @@ bool Receiver::receive(std::span<const std::span<const cf32>> capture,
       ws.scrambled.insert(ws.scrambled.end(), word.begin(),
                           word.begin() + static_cast<long>(kLdpcK));
     }
-  } else if (cfg_.fec_enabled) {
-    if (bcc_stream) {
-      // Pad the trellis with zero-LLR erasures up to the 2 * n_info budget
-      // (the one-shot path's resize does the same), then trace back.
-      std::array<float, 128> zeros{};
-      while (llrs_fed < 2 * n_info_bits) {
-        const std::size_t take =
-            std::min(zeros.size(), 2 * n_info_bits - llrs_fed);
-        viterbi_.stream_consume(ws.viterbi_stream, ws.viterbi,
-                                std::span<const float>(zeros).first(take));
-        llrs_fed += take;
-      }
-      viterbi_.stream_finish(ws.viterbi_stream, ws.viterbi,
-                             /*terminated=*/false, ws.scrambled);
-    } else {
-      fec::depuncture_into(ws.merged, mcs.rate, ws.depunctured);
-      ws.depunctured.resize(2 * n_info_bits, 0.0F);
-      viterbi_.decode_soft_into(ws.depunctured, /*terminated=*/false,
-                                ws.scrambled, ws.viterbi);
+  } else if (bcc_stream) {
+    // Pad the trellis with zero-LLR erasures up to the 2 * n_info budget
+    // (the one-shot path's resize does the same), then trace back.
+    std::array<float, 128> zeros{};
+    while (llrs_fed < 2 * n_info_bits) {
+      const std::size_t take = std::min(zeros.size(), 2 * n_info_bits - llrs_fed);
+      viterbi_.stream_consume(ws.viterbi_stream, ws.viterbi,
+                              std::span<const float>(zeros).first(take));
+      llrs_fed += take;
     }
+    viterbi_.stream_finish(ws.viterbi_stream, ws.viterbi,
+                           /*terminated=*/false, ws.scrambled);
   } else {
-    ws.scrambled.resize(ws.merged.size());
-    for (std::size_t i = 0; i < ws.merged.size(); ++i) {
-      ws.scrambled[i] = (ws.merged[i] < 0.0F) ? 1 : 0;
-    }
+    detail::decode_bcc_into(ws.merged, mcs.rate, n_info_bits, cfg_.fec_enabled,
+                            viterbi_, ws);
   }
 
-  const std::size_t psdu_bits = 8 * static_cast<std::size_t>(pkt.htsig.length);
-  if (ws.scrambled.size() < kServiceBits + psdu_bits) {
+  if (!detail::unpack_psdu(ws.scrambled, pkt.htsig.length, pkt.psdu)) {
     pkt.error = metrics::RxError::kTruncated;
     return true;
   }
-
-  const std::uint32_t seed =
-      recover_scrambler_seed(std::span(ws.scrambled).first(7));
-  fec::scramble_in_place(ws.scrambled, seed);
-
-  wifi::bits_to_bytes_into(
-      std::span<const std::uint8_t>(ws.scrambled).subspan(kServiceBits, psdu_bits),
-      pkt.psdu);
   pkt.fcs_ok = wifi::psdu_fcs_ok(pkt.psdu);
   // A frame delivered past a failed L-SIG still reports the anomaly; a
   // failed FCS is the terminal data-stage classification either way.
@@ -754,14 +458,8 @@ bool Receiver::receive(std::span<const std::span<const cf32>> capture,
 std::optional<std::size_t> decoded_frame_samples(const RxPacket& pkt,
                                                  const PhyConfig& cfg) {
   if (!pkt.htsig_ok) return std::nullopt;
-  const wifi::McsInfo mcs = wifi::mcs_info(pkt.htsig.mcs);
-  const bool stbc = pkt.htsig.stbc != 0;
-  const FecType fec_type = pkt.htsig.fec_coding ? FecType::kLdpc : FecType::kBcc;
-  FrameLayout fl;
-  fl.nss = stbc ? 2 : mcs.nss;
-  fl.n_data_symbols = data_symbol_count(mcs, pkt.htsig.length, cfg.fec_enabled,
-                                        stbc, fec_type);
-  return fl.total_samples();
+  return ht_frame_layout(wifi::mcs_info(pkt.htsig.mcs), pkt.htsig, cfg.fec_enabled)
+      .total_samples();
 }
 
 }  // namespace mimonet::core

@@ -113,13 +113,8 @@ struct RxWorkspace {
   std::vector<eq::CMatrix> h_at;         ///< per-bin channel matrices
   std::vector<eq::EqCoeffs> coeffs;      ///< per-bin prepared equalizer
   std::vector<std::vector<float>> stream_llrs;  ///< per-stream soft bits
-  dsp::SampleGrid data_grid;             ///< [rx][bin] one data symbol
-  dsp::SampleGrid data_grid2;            ///< second symbol of an STBC pair
   std::vector<dsp::cf32> y;              ///< per-antenna observation
-  std::vector<dsp::cf32> y2;
   std::vector<float> llr_buf;
-  std::vector<float> llrs_first;         ///< STBC pair staging
-  std::vector<float> llrs_second;
   std::vector<std::array<dsp::cf32, 4>> rx_pilots;  ///< [rx][pilot]
   std::vector<dsp::cf64> sliced;         ///< decision-tracking slicer output
   chanest::EvmSnrEstimator pilot_evm;    ///< pilot-EVM accumulator

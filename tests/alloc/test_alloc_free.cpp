@@ -81,15 +81,16 @@ struct Scenario {
   eq::EqualizerType eq_type;
   const char* name;
   bool batched = true;  ///< exercise the batched symbol-plane pipeline
+  bool stbc = false;     ///< Alamouti STBC (two space-time streams)
 };
 
 std::vector<std::vector<dsp::cf32>> make_capture(const core::Transmitter& tx,
-                                                 std::size_t nss,
+                                                 std::size_t ntx,
                                                  std::size_t nrx) {
   const auto psdu =
       wifi::build_psdu(wifi::MacHeader{}, std::vector<std::uint8_t>(300, 0x5A));
   channel::ChannelConfig ccfg;
-  ccfg.ntx = nss;
+  ccfg.ntx = ntx;
   ccfg.nrx = nrx;
   ccfg.snr_db = 30.0;
   ccfg.timing_pad = 200;
@@ -105,10 +106,10 @@ void expect_zero_steady_state(const Scenario& sc) {
   phy.mcs = sc.mcs;
   phy.equalizer = sc.eq_type;
   phy.batched_decode = sc.batched;
+  phy.stbc = sc.stbc;
   const core::Transmitter tx(phy);
-  const auto nss = phy.mcs_info().nss;
   const core::Receiver rx(phy, sc.nrx);
-  const auto capture = make_capture(tx, nss, sc.nrx);
+  const auto capture = make_capture(tx, phy.n_sts(), sc.nrx);
   const std::vector<std::span<const dsp::cf32>> spans(capture.begin(),
                                                       capture.end());
   const std::span<const std::span<const dsp::cf32>> cap(spans);
@@ -145,6 +146,15 @@ TEST(AllocFree, MimoBcc) {
 TEST(AllocFree, MimoMlDetector) {
   expect_zero_steady_state({11, 2, eq::EqualizerType::kMaxLikelihood,
                             "2x2 MCS11 ML"});
+}
+
+// STBC decodes on the symbol plane (Alamouti per-bin case) into the
+// streaming Viterbi, like spatial multiplexing.
+TEST(AllocFree, StbcBcc) {
+  expect_zero_steady_state({4, 2, eq::EqualizerType::kMmse, "2x2 STBC MCS4",
+                            /*batched=*/true, /*stbc=*/true});
+  expect_zero_steady_state({7, 2, eq::EqualizerType::kMmse, "2x2 STBC MCS7",
+                            /*batched=*/true, /*stbc=*/true});
 }
 
 // The reference per-symbol path must stay allocation-free too: the batched

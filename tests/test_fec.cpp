@@ -72,6 +72,22 @@ TEST(Scrambler, AllSeedsGeneratePeriod127) {
   }
 }
 
+TEST(Scrambler, RecoverSeedRoundTripsAllSeeds) {
+  for (std::uint32_t seed = 1; seed < 128; ++seed) {
+    auto prefix = scrambler_sequence(seed, 7);
+    EXPECT_EQ(recover_scrambler_seed(prefix), seed);
+    // Only the low bit of each entry is a bit.
+    for (auto& b : prefix) b = static_cast<std::uint8_t>(b | 0xFEU);
+    EXPECT_EQ(recover_scrambler_seed(prefix), seed);
+  }
+}
+
+TEST(Scrambler, RecoverSeedWithoutMatchReturnsDefault) {
+  // Seven zeros: the maximal-length sequence's longest zero run is six.
+  const std::vector<std::uint8_t> zeros(7, 0);
+  EXPECT_EQ(recover_scrambler_seed(zeros), kDefaultScramblerSeed);
+}
+
 // ---------------------------------------------------- convolutional code
 
 TEST(ConvEncode, ImpulseGivesGeneratorPolynomials) {
